@@ -190,6 +190,13 @@ def test_bench_service(benchmark, record, tmp_path):
 
     assert full["served_store"] + full["served_inflight"] > 0, \
         "dedup never fired on a duplicate-heavy mix"
+    # Work done, not just bytes returned: with dedup on, every unique
+    # request is computed exactly once and every duplicate is served from
+    # the in-flight map or the store, journal fsyncs included.
+    for name, phase in (("service", full), ("hardened", hardened)):
+        assert phase["served_computed"] == UNIQUE, (
+            f"{name} computed {phase['served_computed']} replies for "
+            f"{UNIQUE} unique requests")
     assert speedup >= MIN_SPEEDUP, (
         f"batching+dedup service managed only {speedup:.2f}x the naive "
         f"baseline (required >= {MIN_SPEEDUP:.1f}x)")

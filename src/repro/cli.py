@@ -47,7 +47,7 @@ from repro.distance.cache import cached_routing_table, configure_cache
 from repro.parallel import WorkersLike
 from repro.routing.tables import RoutingTable
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import ENGINE_NAMES
+from repro.simulation.engine import ENGINE_ALIASES, ENGINE_NAMES
 from repro.simulation.sweep import make_load_points, run_load_sweep
 from repro.simulation.traffic import IntraClusterTraffic
 from repro.topology.designed import (
@@ -668,8 +668,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=int, default=300)
     p.add_argument("--measure", type=int, default=1200)
     p.add_argument("--engine", default="fast",
-                   choices=list(ENGINE_NAMES),
-                   help="simulator engine ('reference'/'fast'/'batch' are "
+                   choices=[*ENGINE_NAMES, *ENGINE_ALIASES],
+                   help="simulator engine ('reference'/'fast' are "
                         "bit-identical; 'vector' is the many-seed kernel "
                         "under the statistical-equivalence contract)")
     p.set_defaults(func=cmd_simulate)
@@ -710,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=int, default=400)
     p.add_argument("--measure", type=int, default=1500)
     p.add_argument("--engine", default="fast",
-                   choices=list(ENGINE_NAMES),
+                   choices=[*ENGINE_NAMES, *ENGINE_ALIASES],
                    help="simulator engine for the fig3/fig5 sweeps "
                         "(results are engine-independent)")
     p.add_argument("--report", metavar="PATH", default=None,

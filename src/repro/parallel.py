@@ -174,6 +174,7 @@ def _reap(executor: Optional[ProcessPoolExecutor], *, kill: bool) -> None:
     if executor is None:
         return
     procs = list(getattr(executor, "_processes", {}).values())
+    manager = getattr(executor, "_executor_manager_thread", None)
     executor.shutdown(wait=False, cancel_futures=True)
     if kill:
         for proc in procs:
@@ -181,6 +182,14 @@ def _reap(executor: Optional[ProcessPoolExecutor], *, kill: bool) -> None:
                 proc.terminate()
     for proc in procs:
         proc.join(timeout=5.0)
+    # The executor's manager thread joins the same workers.  Whichever
+    # thread's waitpid() loses that race sees ECHILD and leaves the
+    # process's returncode unset until the winner stores it, so a
+    # just-reaped worker can still read as alive; wait for the manager
+    # thread to finish so every reaped worker reports as dead.  (The
+    # thread is read before shutdown(), which drops the reference.)
+    if manager is not None:
+        manager.join(timeout=5.0)
 
 
 class WorkerPool:

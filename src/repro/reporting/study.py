@@ -43,7 +43,6 @@ from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.parallel import WorkersLike
 from repro.routing.tables import RoutingTable
 from repro.simulation.config import SimulationConfig
-from repro.simulation.equivalence import mean_ci
 from repro.simulation.sweep import make_load_points, run_load_sweep
 from repro.simulation.traffic import IntraClusterTraffic
 from repro.topology.designed import four_rings_topology
@@ -66,10 +65,10 @@ class StudySpec:
     ``fault_sets`` entries are :data:`HEALTHY` or fault labels:
     ``"link-<i>"`` (the i-th link of the topology, in link order) or
     ``"L<u>-<v>"`` (an explicit link).  ``engines`` entries are
-    simulation engine names (``fast``/``reference``/``batch``/
-    ``vector``).  ``max_rate`` places the top of the load ladder; when
-    ``None`` the study derives it from the OP mapping's saturation
-    point like the figure drivers do (slower but parameter-free).
+    simulation engine names (``fast``/``reference``/``vector``).
+    ``max_rate`` places the top of the load ladder; when ``None`` the
+    study derives it from the OP mapping's saturation point like the
+    figure drivers do (slower but parameter-free).
     """
 
     name: str = "variation-study"
@@ -406,6 +405,10 @@ def _fault_tables(
 
 def _ci_entry(values: Sequence[float]) -> Dict[str, Optional[float]]:
     """A ``{"mean", "lo", "hi"}`` CI entry, NaN-safe."""
+    # Imported here: this module loads with the CLI (through serialize),
+    # and equivalence imports scipy, ~0.4 s on every CLI start.
+    from repro.simulation.equivalence import mean_ci
+
     clean = [v for v in values if v is not None and math.isfinite(v)]
     if not clean:
         return {"mean": None, "lo": None, "hi": None}

@@ -40,7 +40,7 @@ from repro.search.genetic import GeneticAlgorithm
 from repro.search.gsa import GeneticSimulatedAnnealing
 from repro.search.random_search import RandomSearch
 from repro.search.tabu import TabuSearch
-from repro.simulation.engine import ENGINE_NAMES
+from repro.simulation.engine import resolve_engine
 from repro.topology.graph import Topology
 
 PROTOCOL_VERSION = 1
@@ -208,11 +208,12 @@ class SimulateSpec:
         if self.warmup < 0 or self.measure < 1:
             raise ProtocolError("simulate.warmup must be >= 0 and "
                                 "simulate.measure >= 1")
-        if self.engine not in ENGINE_NAMES:
-            raise ProtocolError(
-                f"simulate.engine must be one of {sorted(ENGINE_NAMES)}, "
-                f"got {self.engine!r}"
-            )
+        # The requested name is kept as sent (the fingerprint encodes
+        # it); an alias only has to resolve to a real engine.
+        try:
+            resolve_engine(self.engine)
+        except ValueError as exc:
+            raise ProtocolError(f"simulate.{exc}") from None
 
     def to_dict(self) -> Dict[str, Any]:
         """Encode as the plain dict embedded in a request payload."""

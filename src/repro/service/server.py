@@ -537,16 +537,28 @@ class SchedulerService:
                 if not victim.future.done():
                     victim.future.set_exception(ShedError(
                         "evicted by a higher-priority request; retry later"))
+            if self.config.dedup:
+                # Registered before the journal append below: a duplicate
+                # arriving during its fsync must find this future, not
+                # queue, journal and compute the request a second time.
+                self._inflight[fingerprint] = future
+                future.add_done_callback(
+                    lambda _f, fp=fingerprint: self._inflight.pop(fp, None))
             # Journal *after* the queue admitted the job but *before* any
             # reply: a request is only observably accepted once the client
             # hears back, and by then the accept record is fsync-durable.
             if self.wal is not None:
-                await asyncio.wrap_future(self.wal.append_accept(
-                    fingerprint, job.payload, request.priority))
-            if self.config.dedup:
-                self._inflight[fingerprint] = future
-                future.add_done_callback(
-                    lambda _f, fp=fingerprint: self._inflight.pop(fp, None))
+                try:
+                    await asyncio.wrap_future(self.wal.append_accept(
+                        fingerprint, job.payload, request.priority))
+                except Exception as exc:
+                    # Not durably accepted: settle this request and every
+                    # duplicate already waiting on it with a typed error.
+                    if not future.done():
+                        future.set_exception(exc)
+                    if not wait:
+                        future.add_done_callback(_swallow_future_exception)
+                        return self._error_reply(exc)
             if not wait:
                 # Nobody awaits a ticketed future directly (results are
                 # read back through the store), so mark any terminal

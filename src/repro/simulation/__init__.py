@@ -15,11 +15,13 @@ Key pieces:
 - :mod:`~repro.simulation.traffic` — traffic patterns (the paper's 100 %
   intracluster uniform pattern, plus uniform/hotspot/intercluster mixes);
 - :mod:`~repro.simulation.engine` — the shared engine interface:
-  :func:`~repro.simulation.engine.make_simulator` builds either the
-  readable reference engine
-  (:class:`~repro.simulation.network.WormholeNetworkSimulator`) or the
+  :func:`~repro.simulation.engine.make_simulator` builds the readable
+  reference engine
+  (:class:`~repro.simulation.network.WormholeNetworkSimulator`), the
   bit-identical struct-of-arrays kernel
   (:class:`~repro.simulation.engine_fast.FastWormholeNetworkSimulator`)
+  or the statistically equivalent many-replication numpy kernel
+  (:class:`~repro.simulation.engine_vector.VectorWormholeNetworkSimulator`)
   selected by ``SimulationConfig.engine``;
 - :mod:`~repro.simulation.sweep` — load sweeps (the S1…S9 points) and
   saturation-throughput estimation.

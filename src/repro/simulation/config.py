@@ -53,20 +53,19 @@ class SimulationConfig:
     engine:
         Which engine executes the model: ``"fast"`` (the struct-of-arrays
         kernel with quiescence skipping, the default), ``"reference"``
-        (the per-``Message`` model in :mod:`repro.simulation.network`),
-        ``"batch"`` (the many-replication lockstep kernel in
-        :mod:`repro.simulation.engine_batch`; solo runs get a batch of
-        one, and ``simulate_batch`` runs many seeds/rates at once) or
+        (the per-``Message`` model in :mod:`repro.simulation.network`) or
         ``"vector"`` (the numpy-vectorized many-replication kernel in
-        :mod:`repro.simulation.engine_vector`).  The first three are
+        :mod:`repro.simulation.engine_vector`).  The first two are
         bit-identical — same RNG draw order, same
         :class:`SimulationResult` payload for every seed — so within
-        that tier this is purely a performance knob; the three-way
-        parity suite (``tests/simulation/test_engine_parity.py``)
-        enforces it.  ``"vector"`` is opt-in and relaxes the contract to
-        *statistical equivalence*: deterministic per seed, same latency/
-        throughput distributions, different draw order (enforced by
-        ``tests/simulation/test_engine_equivalence.py``).
+        that tier this is purely a performance knob; the parity suite
+        (``tests/simulation/test_engine_parity.py``) enforces it.
+        ``"vector"`` is opt-in and relaxes the contract to *statistical
+        equivalence*: deterministic per seed, same latency/throughput
+        distributions, different draw order (enforced by
+        ``tests/simulation/test_engine_equivalence.py``).  A retired
+        name in :data:`repro.simulation.engine.ENGINE_ALIASES` is
+        accepted and replaced by the engine that now runs it.
     """
 
     message_length: int = 16
@@ -91,11 +90,11 @@ class SimulationConfig:
             raise ValueError(f"warmup_cycles must be >= 0, got {self.warmup_cycles}")
         check_positive(self.measure_cycles, "measure_cycles")
         check_positive(self.queue_capacity, "queue_capacity")
-        if self.engine not in ("reference", "fast", "batch", "vector"):
-            raise ValueError(
-                f"engine must be 'reference', 'fast', 'batch' or "
-                f"'vector', got {self.engine!r}"
-            )
+        # Imported here: the engine module builds a default config while
+        # it loads, so a module-level import would be circular.
+        from repro.simulation.engine import resolve_engine
+
+        object.__setattr__(self, "engine", resolve_engine(self.engine))
 
 
 __all__ = ["SimulationConfig"]

@@ -8,16 +8,18 @@ Three engines implement the same cycle-level semantics:
   a struct-of-arrays kernel with quiescence skipping that is **bit-identical**
   to the reference: same RNG draw order, same
   :class:`~repro.simulation.metrics.SimulationResult` payload for every seed;
-- ``"batch"``     — :mod:`repro.simulation.engine_batch`, the many-replication
-  lockstep kernel: one flattened state arena with a leading replication
-  axis advances a whole batch of seeds/rates at once (bit-identical per
-  member).  ``make_simulator`` builds a batch-of-one view; callers with
-  several compatible replications pending should use
-  :func:`repro.simulation.engine_batch.simulate_batch`.
+- ``"vector"``    — :mod:`repro.simulation.engine_vector`, the numpy kernel
+  that advances many replications per array op.  Deterministic per seed
+  but only *statistically* equivalent to the other two; callers with
+  many compatible replications pending should use
+  :func:`repro.simulation.engine_vector.simulate_batch_vector`.
 
 :func:`make_simulator` dispatches on ``SimulationConfig.engine``; everything
 downstream (load sweeps, saturation probes, the figure drivers, the CLI)
 goes through it, so one config field switches the whole evaluation stack.
+Retired engine names stay accepted for one release through
+:data:`ENGINE_ALIASES`; :func:`resolve_engine` maps them to the engine
+that now does their work.
 
 Observability: every engine fills an :class:`EnginePerf` — per-phase wall
 times, skipped-cycle counts and arbitration conflict counters.  Wall times
@@ -39,13 +41,37 @@ from repro.simulation.metrics import SimulationResult
 from repro.simulation.traffic import TrafficPattern
 
 #: Engine names accepted by ``SimulationConfig.engine``.
-#: ``reference``/``fast``/``batch`` are bit-identical to each other;
-#: ``vector`` is deterministic per seed but only statistically
-#: equivalent (see :mod:`repro.simulation.equivalence`).
-ENGINE_NAMES = ("reference", "fast", "batch", "vector")
+#: ``reference``/``fast`` are bit-identical to each other; ``vector`` is
+#: deterministic per seed but only statistically equivalent (see
+#: :mod:`repro.simulation.equivalence`).
+ENGINE_NAMES = ("reference", "fast", "vector")
 
 #: The subset of :data:`ENGINE_NAMES` under the bit-identical contract.
-BIT_IDENTICAL_ENGINES = ("reference", "fast", "batch")
+BIT_IDENTICAL_ENGINES = ("reference", "fast")
+
+#: Retired engine names, still accepted for one release, and the engine
+#: that now runs them.  ``batch`` was a lockstep many-replication kernel
+#: bit-identical to ``fast`` and never measurably faster (DESIGN.md §6e),
+#: so every payload it produced is the one ``fast`` produces.
+ENGINE_ALIASES = {"batch": "fast"}
+
+
+def resolve_engine(name: str) -> str:
+    """The engine that runs ``name``: ``name`` itself or its alias target.
+
+    Raises ``ValueError`` for a name that is neither an engine nor an
+    alias.  ``SimulationConfig`` and the service's ``SimulateSpec``
+    validate through it; the CLI offers the same names as ``--engine``
+    choices.
+    """
+    if name in ENGINE_NAMES:
+        return name
+    if name in ENGINE_ALIASES:
+        return ENGINE_ALIASES[name]
+    raise ValueError(
+        f"engine must be one of {ENGINE_NAMES + tuple(ENGINE_ALIASES)}, "
+        f"got {name!r}"
+    )
 
 
 @dataclass
@@ -133,8 +159,8 @@ def make_simulator(routing_table, traffic: TrafficPattern,
     """Build the engine selected by ``config.engine``.
 
     The returned object satisfies :class:`NetworkEngine`.  Results are
-    bit-identical across the ``reference``/``fast``/``batch`` engines, so
-    within that tier the choice is purely a performance knob; the opt-in
+    bit-identical across the ``reference``/``fast`` engines, so within
+    that tier the choice is purely a performance knob; the opt-in
     ``vector`` engine is deterministic per seed but relaxes the contract
     to statistical equivalence (validated by the equivalence suite) in
     exchange for numpy vectorization across replications.
@@ -149,11 +175,6 @@ def make_simulator(routing_table, traffic: TrafficPattern,
 
         return FastWormholeNetworkSimulator(routing_table, traffic,
                                             injection_rate, config)
-    if config.engine == "batch":
-        from repro.simulation.engine_batch import build_batch_simulator
-
-        return build_batch_simulator(routing_table, traffic,
-                                     injection_rate, config)
     if config.engine == "vector":
         from repro.simulation.engine_vector import build_vector_simulator
 
@@ -227,9 +248,11 @@ def canonical_payload(result: SimulationResult) -> Dict[str, Any]:
 __all__ = [
     "ENGINE_NAMES",
     "BIT_IDENTICAL_ENGINES",
+    "ENGINE_ALIASES",
     "EnginePerf",
     "NetworkEngine",
     "make_simulator",
     "record_engine_metrics",
+    "resolve_engine",
     "canonical_payload",
 ]

@@ -1,9 +1,11 @@
 """Numpy-vectorized many-replication engine (``engine="vector"``).
 
-The batch kernel (:mod:`repro.simulation.engine_batch`) is bit-identical to
-the reference, which pins the scalar RNG/arbitration draw order and caps it
-near the fast engine's speed.  This module trades that contract for a
-relaxed one — **statistical equivalence** — to unlock real vectorization:
+The ``reference`` and ``fast`` engines are bit-identical, which pins the
+scalar RNG/arbitration draw order: a kernel bound by it can only skip idle
+cycles, never advance replications side by side (a lockstep batch kernel
+under that contract measured 0.97–1.14x ``fast``; DESIGN.md §6e).  This
+module trades that contract for a relaxed one — **statistical
+equivalence** — to unlock real vectorization:
 
 - state is a flat struct-of-arrays arena with a leading replication axis
   (``gslot = rep * S + slot``, ``gchan = rep * C + cid``), and every phase
@@ -57,7 +59,6 @@ from repro.routing.base import Phase
 from repro.routing.tables import RoutingTable
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import EnginePerf, record_engine_metrics
-from repro.simulation.engine_batch import check_batch_compatible
 from repro.simulation.metrics import SimulationResult
 from repro.simulation.traffic import (
     IntraClusterTraffic,
@@ -180,6 +181,42 @@ def _hash_int(key: int, cycle: int, purpose: int, idx: int) -> int:
     a = np.array([cycle], dtype=np.int64)
     b = np.array([idx], dtype=np.int64)
     return int(_mix(_U64(key) + _counter(a, purpose, b) * _GOLDEN)[0])
+
+
+# --------------------------------------------------------------------- #
+# batch compatibility
+# --------------------------------------------------------------------- #
+
+class BatchCompatibilityError(ValueError):
+    """Raised when a set of replications cannot share one vector kernel."""
+
+
+def check_batch_compatible(jobs: Sequence[Tuple[RoutingTable, TrafficPattern,
+                                                float, SimulationConfig]]) -> None:
+    """Validate that ``jobs`` may run as one batch; raise a clear error.
+
+    ``jobs`` are ``(table, traffic, rate, config)`` tuples.  A batch needs
+    one shared routing-table object and one ``virtual_channels`` value;
+    seeds, rates, traffic, message lengths, buffers and windows may vary.
+    """
+    if not jobs:
+        raise BatchCompatibilityError(
+            "simulate_batch_vector needs at least one job")
+    table0 = jobs[0][0]
+    vcs0 = jobs[0][3].virtual_channels
+    for i, (table, _traffic, _rate, cfg) in enumerate(jobs):
+        if table is not table0:
+            raise BatchCompatibilityError(
+                f"job {i} uses a different routing table/topology than job 0 "
+                f"({table.topology.name!r} vs {table0.topology.name!r}); "
+                "batched replications must share one RoutingTable object — "
+                "split the batch by topology first"
+            )
+        if cfg.virtual_channels != vcs0:
+            raise BatchCompatibilityError(
+                f"job {i} has virtual_channels={cfg.virtual_channels} but "
+                f"job 0 has {vcs0}; a batch must agree on virtual_channels"
+            )
 
 
 # --------------------------------------------------------------------- #
@@ -1604,9 +1641,9 @@ def simulate_batch_vector(
     member's result is deterministic given its seed and independent of
     the batch composition (per-replication counter RNG streams, disjoint
     state partitions), but only statistically equivalent to the
-    bit-identical engines.  Compatibility rules match
-    :func:`repro.simulation.engine_batch.simulate_batch`: one shared
-    routing-table object, one ``virtual_channels`` value.
+    bit-identical engines.  Raises :class:`BatchCompatibilityError`
+    unless the jobs share one routing-table object and one
+    ``virtual_channels`` value (:func:`check_batch_compatible`).
     """
     jobs = list(jobs)
     check_batch_compatible(jobs)
@@ -1632,7 +1669,9 @@ def simulate_batch_vector(
 
 
 __all__ = [
+    "BatchCompatibilityError",
     "VectorWormholeNetworkSimulator",
     "build_vector_simulator",
+    "check_batch_compatible",
     "simulate_batch_vector",
 ]

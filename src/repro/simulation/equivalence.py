@@ -1,23 +1,20 @@
 """Statistical-equivalence contract between simulation engines.
 
-The ``reference``/``fast``/``batch`` engines are bit-identical: every RNG
-draw and arbitration decision happens in the same order, so their payloads
-can be compared with ``==``.  The ``vector`` engine deliberately breaks
-that contract — it draws per-replication counter-based streams and
-arbitrates whole arrays at once — so it is deterministic given
-``(seed, engine)`` but *not* draw-order-identical to the reference
-lineage.  Its correctness claim is statistical: across many seeds, the
-distributions of mean latency and delivered throughput at every
-``(traffic, rate)`` point must be indistinguishable from the reference
-lineage's, and the paper's qualitative orderings (OP beating the random
-mappings) must survive the engine swap.
+The ``reference``/``fast`` engines are bit-identical: every RNG draw and
+arbitration decision happens in the same order, so their payloads can be
+compared with ``==``.  The ``vector`` engine deliberately breaks that
+contract — it draws per-replication counter-based streams and arbitrates
+whole arrays at once — so it is deterministic given ``(seed, engine)``
+but *not* draw-order-identical to the reference lineage.  Its
+correctness claim is statistical: across many seeds, the distributions
+of mean latency and delivered throughput at every ``(traffic, rate)``
+point must be indistinguishable from the reference lineage's, and the
+paper's qualitative orderings (OP beating the random mappings) must
+survive the engine swap.
 
-This module is that claim as code.  It is dependency-light on purpose:
-CI installs numpy but not scipy, so the Welch t-test p-value is computed
-from first principles — Student's t CDF via the regularized incomplete
-beta function (continued fraction + ``math.lgamma``), accurate to ~1e-10
-over the ranges we use, cross-checked against scipy in the test suite
-when scipy happens to be present.
+This module is that claim as code.  Student's t distribution comes from
+``scipy.special`` (``stdtr``/``stdtrit``); ``scipy.stats`` is avoided on
+purpose, as it takes several times longer to import.
 
 Decision rule
 -------------
@@ -40,6 +37,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
+from scipy.special import stdtr, stdtrit
+
 __all__ = [
     "EquivalencePoint",
     "EquivalenceReport",
@@ -56,117 +55,23 @@ __all__ = [
 # (metric, rate) points a full equivalence run inspects.
 DEFAULT_ALPHA = 0.01
 
-_MAX_CF_ITER = 300
-_CF_EPS = 1e-12
-_TINY = 1e-300
-
 
 # --------------------------------------------------------------------- #
-# Student's t distribution from first principles (no scipy)
+# Student's t distribution
 # --------------------------------------------------------------------- #
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the regularized incomplete beta function.
-
-    Lentz's algorithm, as in Numerical Recipes §6.4.  Converges in a few
-    dozen iterations for the ``x < (a + 1) / (a + b + 2)`` regime the
-    caller guarantees.
-    """
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_CF_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            break
-    return h
-
-
-def _betainc_reg(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    # Use the symmetry I_x(a,b) = 1 - I_{1-x}(b,a) to stay in the
-    # fast-converging regime of the continued fraction.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
 
 def student_t_cdf(t: float, df: float) -> float:
     """P(T <= t) for Student's t with ``df`` degrees of freedom."""
     if df <= 0.0:
         raise ValueError(f"degrees of freedom must be positive, got {df}")
-    if t == 0.0:
-        return 0.5
-    x = df / (df + t * t)
-    p = 0.5 * _betainc_reg(0.5 * df, 0.5, x)
-    return p if t < 0.0 else 1.0 - p
+    return float(stdtr(df, t))
 
 
 def student_t_sf(t: float, df: float) -> float:
     """Two-sided survival: P(|T| >= |t|)."""
     if df <= 0.0:
         raise ValueError(f"degrees of freedom must be positive, got {df}")
-    x = df / (df + t * t)
-    return _betainc_reg(0.5 * df, 0.5, x)
-
-
-def _t_quantile(p: float, df: float) -> float:
-    """Upper-tail quantile: t such that P(T > t) = p, for p in (0, 0.5).
-
-    Bisection on the monotone CDF — a handful of extra iterations beats
-    carrying an inverse-incomplete-beta implementation, and this runs a
-    few times per report, not per sample.
-    """
-    if not 0.0 < p < 0.5:
-        raise ValueError(f"quantile p must be in (0, 0.5), got {p}")
-    lo, hi = 0.0, 2.0
-    while 1.0 - student_t_cdf(hi, df) > p:
-        hi *= 2.0
-        if hi > 1e8:  # pragma: no cover - df >= 1 converges long before
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if 1.0 - student_t_cdf(mid, df) > p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    return float(2.0 * stdtr(df, -abs(t)))
 
 
 # --------------------------------------------------------------------- #
@@ -214,7 +119,8 @@ def mean_ci(
     mean, var, n = _mean_var(xs)
     if var == 0.0:
         return mean, mean, mean
-    half = _t_quantile(alpha / 2.0, float(n - 1)) * math.sqrt(var / n)
+    # Upper alpha/2 quantile, taken from the lower tail for precision.
+    half = -float(stdtrit(n - 1, alpha / 2.0)) * math.sqrt(var / n)
     return mean, mean - half, mean + half
 
 

@@ -18,6 +18,7 @@ from repro.parallel import WorkersLike, parallel_map, resolve_workers
 from repro.routing.tables import RoutingTable
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import make_simulator
+from repro.simulation.engine_vector import simulate_batch_vector
 from repro.simulation.metrics import SimulationResult
 from repro.simulation.traffic import TrafficPattern
 from repro.util.rng import derive_seed
@@ -69,16 +70,14 @@ def _simulate_point(job: _SweepJob) -> LoadPoint:
 def _simulate_chunk(jobs: Sequence[_SweepJob]) -> List[LoadPoint]:
     """Run a chunk of sweep points in one worker (one pickled job).
 
-    Batch-capable engines execute the whole chunk as a single
-    ``simulate_batch`` call; scalar engines loop the points in-process.
-    Either way the per-point seeds are the ones ``run_load_sweep``
-    derived, so results are independent of the chunking.
+    The vector engine executes the whole chunk as a single
+    ``simulate_batch_vector`` call; scalar engines loop the points
+    in-process.  Either way the per-point seeds are the ones
+    ``run_load_sweep`` derived, so results are independent of the
+    chunking.
     """
-    engine = jobs[0][4].engine
-    if engine in ("batch", "vector"):
-        from repro.simulation.engine_batch import simulate_batch
-
-        results = simulate_batch(
+    if jobs[0][4].engine == "vector":
+        results = simulate_batch_vector(
             [(table, traffic, rate, cfg)
              for table, traffic, _i, rate, cfg in jobs])
         return [LoadPoint(index=i, rate=rate, result=res)
@@ -106,17 +105,17 @@ def run_load_sweep(
     after the (possibly pooled) map returns, so the event stream is the
     same for serial and parallel runs.
 
-    With ``config.engine`` in ``("batch", "vector")`` the points are
-    compatible replications of one network by construction, so a serial
-    sweep runs the whole ladder as a single
-    :func:`repro.simulation.engine_batch.simulate_batch` call instead of
-    point-at-a-time processes; per-point payloads are identical either
-    way (bit-identical for ``batch``; the composition-invariant vector
-    kernel for ``vector``), so this is purely a performance path.
+    With ``config.engine == "vector"`` the points are compatible
+    replications of one network by construction, so a serial sweep runs
+    the whole ladder as a single
+    :func:`repro.simulation.engine_vector.simulate_batch_vector` call
+    instead of point-at-a-time; the vector kernel is composition-
+    invariant, so per-point payloads are identical either way and this
+    is purely a performance path.
 
     Parallel sweeps dispatch *chunks*: the jobs are dealt round-robin
     across ``workers`` chunks and each pool worker runs one chunk (a
-    single ``simulate_batch`` call for batch-capable engines, an
+    single ``simulate_batch_vector`` call for the vector engine, an
     in-process loop otherwise).  One pickled job per worker instead of
     one per point keeps pool overhead off the critical path; the
     per-point seeds are derived before chunking, so results are

@@ -3,17 +3,20 @@
 Covers the pieces with their own contracts: the client's transparent
 reconnect-and-resubmit (regression for the died-between-submit-and-reply
 fault), typed startup failures from :func:`running_service`, priority-
-aware load shedding at the queue, store integrity digests, and the
-status-protocol round trip of the new supervisor/WAL fields.
+aware load shedding at the queue, store integrity digests, the
+status-protocol round trip of the new supervisor/WAL fields, and the
+dedup race between the journal's accept fsync and a duplicate request.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import json
 import random
 import socket
 import threading
+import time
 
 import pytest
 
@@ -25,12 +28,14 @@ from repro.service import (
     ScheduleRequest,
     ServiceClient,
     ServiceConfig,
+    ServiceError,
     ServiceStartupError,
     ServiceStatus,
     execute_request,
     running_service,
 )
 from repro.service.store import ResultStore
+from repro.service.wal import WalError
 from repro.topology.irregular import random_irregular_topology
 
 
@@ -225,3 +230,114 @@ class TestStatusRoundTrip:
         d.pop("wal", None)
         legacy = ServiceStatus.from_dict(d)
         assert legacy.supervisor is None and legacy.wal is None
+
+
+class _GatedWal:
+    """Wraps the daemon's WAL: every accept fsync waits for ``gate``.
+
+    ``fail`` set makes the held accept fail with that exception instead
+    of reaching the journal.  Everything else goes to the real WAL.
+    """
+
+    def __init__(self, inner, fail=None):
+        self.inner = inner
+        self.fail = fail
+        self.accepts = 0
+        self.started = threading.Event()
+        self.gate = threading.Event()
+
+    def append_accept(self, fp, payload, priority=0):
+        self.accepts += 1
+        self.started.set()
+        done = concurrent.futures.Future()
+
+        def settle():
+            self.gate.wait(timeout=30.0)
+            if self.fail is not None:
+                done.set_exception(self.fail)
+                return
+            self.inner.append_accept(fp, payload, priority).result()
+            done.set_result(None)
+
+        threading.Thread(target=settle, daemon=True).start()
+        return done
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class TestWalDedupRace:
+    """Regression: a duplicate arriving while the first request's accept
+    record is being fsynced must join it, not be journaled and computed
+    again."""
+
+    @staticmethod
+    def _duplicate_during_fsync(service, wal, request):
+        """Submit ``request`` twice, the second while the first's accept
+        is held; release it and return ``{tag: reply or ServiceError}``."""
+        host, port = service.address
+        replies = {}
+
+        def submit(tag):
+            with ServiceClient(host, port) as client:
+                try:
+                    replies[tag] = client.submit(request)
+                except ServiceError as exc:
+                    replies[tag] = exc
+
+        first = threading.Thread(target=submit, args=("first",))
+        first.start()
+        assert wal.started.wait(timeout=30.0)
+        second = threading.Thread(target=submit, args=("second",))
+        second.start()
+        deadline = time.monotonic() + 30.0
+        while service._counters["requests"] < 2:
+            assert time.monotonic() < deadline, "duplicate never arrived"
+            time.sleep(0.005)
+        wal.gate.set()
+        for thread in (first, second):
+            thread.join(timeout=60.0)
+        return replies
+
+    def test_duplicate_is_served_inflight_and_journaled_once(self, tmp_path):
+        request = small_request()
+        # A long batching window keeps the first job queued (not yet
+        # computed) while the duplicate arrives.
+        config = fast_config(workers=1, batch_window=1.0,
+                             wal_path=tmp_path / "svc.wal")
+        with running_service(config) as service:
+            wal = _GatedWal(service.wal)
+            service.wal = wal
+            replies = self._duplicate_during_fsync(service, wal, request)
+            counters = dict(service._counters)
+            pending = len(wal.inner)
+        assert wal.accepts == 1
+        assert replies["first"]["served"]["from"] == "computed"
+        assert replies["second"]["served"]["from"] == "inflight"
+        assert canon(replies["second"]["result"]) == canon(
+            replies["first"]["result"])
+        assert counters["served_computed"] == 1
+        assert counters["served_inflight"] == 1
+        assert pending == 0       # the one accept record was settled
+
+    def test_failed_accept_settles_every_waiter_typed(self, tmp_path):
+        request = small_request()
+        config = fast_config(workers=1, batch_window=1.0,
+                             wal_path=tmp_path / "svc.wal")
+        with running_service(config) as service:
+            wal = _GatedWal(service.wal, fail=WalError("disk full"))
+            service.wal = wal
+            replies = self._duplicate_during_fsync(service, wal, request)
+            inflight = dict(service._inflight)
+            # The daemon keeps serving once the journal works again.
+            wal.fail = None
+            with ServiceClient(*service.address) as client:
+                again = client.submit(request)
+        for tag in ("first", "second"):
+            assert isinstance(replies[tag], ServiceError), replies[tag]
+            assert replies[tag].code == "failed"
+            assert "disk full" in replies[tag].message
+        assert inflight == {}
+        assert again["ok"]
+        assert canon(again["result"]) == canon(
+            execute_request(request.to_dict()))

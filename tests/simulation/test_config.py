@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.simulation.config import SimulationConfig
+from repro.simulation.engine import ENGINE_ALIASES, ENGINE_NAMES
 
 
 class TestConfig:
@@ -35,3 +36,16 @@ class TestConfig:
         cfg = SimulationConfig()
         cfg2 = dataclasses.replace(cfg, seed=99)
         assert cfg2.seed == 99 and cfg2.message_length == cfg.message_length
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_every_engine_name_is_accepted(self, engine):
+        assert SimulationConfig(engine=engine).engine == engine
+
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ValueError, match="engine"):
+            SimulationConfig(engine="turbo")
+
+    def test_retired_batch_name_is_an_alias_of_fast(self):
+        assert ENGINE_ALIASES == {"batch": "fast"}
+        assert SimulationConfig(engine="batch") == SimulationConfig(
+            engine="fast")

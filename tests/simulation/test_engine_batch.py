@@ -1,32 +1,21 @@
-"""Batch-engine specifics: composition invariance, heterogeneity, errors.
+"""Batch compatibility: which replications may share one vector kernel.
 
-The three-way payload parity of the batch kernel against the reference is
-covered by ``test_engine_parity.py``; this file pins the properties that
-only exist once several replications share one kernel:
-
-- **composition invariance** — a member's result must not depend on which
-  other members ride in the batch: one batch ≡ singleton batches ≡ any
-  shuffled order (catches RNG-stream or active-mask cross-talk);
-- **heterogeneous batches** — members may differ in message length, rate,
-  buffer depth, warmup/measure windows (so replications retire early) and
-  traffic pattern, and each must still match its solo run;
-- **compatibility errors** — mixed routing tables or mixed virtual-channel
-  counts must fail loudly, not silently desynchronize.
+:func:`repro.simulation.engine_vector.simulate_batch_vector` runs many
+``(table, traffic, rate, config)`` jobs in one lockstep arena.  Members
+may differ in seed, rate, traffic, message length, buffers and windows,
+but mixed routing tables or mixed virtual-channel counts must fail
+loudly with :class:`BatchCompatibilityError`, not silently desynchronize.
 """
 
-from dataclasses import replace
-
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.routing.tables import RoutingTable
 from repro.routing.updown import UpDownRouting
 from repro.simulation.config import SimulationConfig
-from repro.simulation.engine import canonical_payload, make_simulator
-from repro.simulation.engine_batch import (
+from repro.simulation.engine_vector import (
     BatchCompatibilityError,
     check_batch_compatible,
-    simulate_batch,
+    simulate_batch_vector,
 )
 from repro.simulation.traffic import UniformTraffic
 from repro.topology.irregular import random_irregular_topology
@@ -40,125 +29,15 @@ def _network(topo_seed=11, switches=8):
 
 def _cfg(**kw):
     base = dict(message_length=16, buffer_flits=2, warmup_cycles=150,
-                measure_cycles=600, seed=0, engine="batch")
+                measure_cycles=600, seed=0, engine="vector")
     base.update(kw)
     return SimulationConfig(**base)
-
-
-def _payloads(results):
-    return [canonical_payload(r) for r in results]
-
-
-# --------------------------------------------------------------------- #
-# composition invariance
-# --------------------------------------------------------------------- #
-
-
-class TestCompositionInvariance:
-    @given(
-        seeds=st.lists(st.integers(0, 10_000), min_size=2, max_size=5,
-                       unique=True),
-        rate=st.sampled_from([0.002, 0.01, 0.03]),
-        topo_seed=st.integers(0, 1_000),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_batch_equals_singletons_equals_shuffled(self, seeds, rate,
-                                                     topo_seed):
-        """One batch, singleton batches and a shuffled batch all agree."""
-        topo, table = _network(topo_seed)
-        jobs = [(table, UniformTraffic(topo), rate, _cfg(seed=s))
-                for s in seeds]
-
-        joint = _payloads(simulate_batch(jobs))
-        solo = [_payloads(simulate_batch([job]))[0] for job in jobs]
-        shuffled_jobs = list(reversed(jobs))
-        shuffled = _payloads(simulate_batch(shuffled_jobs))
-
-        assert joint == solo
-        assert shuffled == list(reversed(joint))
-
-    def test_batch_member_equals_make_simulator_run(self):
-        """simulate_batch members ≡ the batch-of-one engine seam."""
-        topo, table = _network()
-        jobs = [(table, UniformTraffic(topo), 0.01, _cfg(seed=s))
-                for s in (1, 2, 3)]
-        batched = _payloads(simulate_batch(jobs))
-        for (t, _tr, rate, cfg), payload in zip(jobs, batched):
-            solo = make_simulator(t, UniformTraffic(topo), rate, cfg).run()
-            assert canonical_payload(solo) == payload
-
-
-# --------------------------------------------------------------------- #
-# heterogeneous batches
-# --------------------------------------------------------------------- #
-
-
-class TestHeterogeneousBatches:
-    def test_mixed_lengths_rates_and_windows_match_solo(self):
-        """Members differing in every compatible knob still match solo runs.
-
-        The third member's window is much shorter, so it retires early and
-        the active-mask must keep advancing the others untouched.
-        """
-        topo, table = _network(23)
-        jobs = [
-            (table, UniformTraffic(topo), 0.002,
-             _cfg(seed=5, message_length=4, buffer_flits=1)),
-            (table, UniformTraffic(topo), 0.02,
-             _cfg(seed=6, message_length=64, buffer_flits=4,
-                  queue_capacity=8)),
-            (table, UniformTraffic(topo), 0.01,
-             _cfg(seed=7, warmup_cycles=20, measure_cycles=80)),
-            (table, UniformTraffic(topo), 0.01,
-             _cfg(seed=8, warmup_cycles=0, measure_cycles=2000,
-                  adaptive=False, record_trace=True)),
-        ]
-        batched = simulate_batch(jobs)
-        for (t, _tr, rate, cfg), res in zip(jobs, batched):
-            solo = make_simulator(t, UniformTraffic(topo), rate,
-                                  replace(cfg, engine="reference")).run()
-            assert canonical_payload(res) == canonical_payload(solo)
-            assert res.meta["engine"] == "batch"
-
-    def test_early_terminating_member_keeps_counters_separate(self):
-        topo, table = _network(37)
-        short = _cfg(seed=1, warmup_cycles=10, measure_cycles=40)
-        long = _cfg(seed=1, warmup_cycles=150, measure_cycles=600)
-        res_short, res_long = simulate_batch([
-            (table, UniformTraffic(topo), 0.02, short),
-            (table, UniformTraffic(topo), 0.02, long),
-        ])
-        assert res_short.cycles_measured == 40
-        assert res_long.cycles_measured == 600
-        total_short = res_short.meta["cycles_executed"] \
-            + res_short.meta["cycles_skipped"]
-        total_long = res_long.meta["cycles_executed"] \
-            + res_long.meta["cycles_skipped"]
-        assert total_short == 50
-        assert total_long == 750
-
-    def test_multi_vc_batch_uses_fallback_and_still_matches(self):
-        """vcs > 1 batches fall back to the budgeted kernel, relabelled."""
-        topo, table = _network(11)
-        jobs = [(table, UniformTraffic(topo), 0.01,
-                 _cfg(seed=s, virtual_channels=2)) for s in (1, 2)]
-        results = simulate_batch(jobs)
-        for (t, _tr, rate, cfg), res in zip(jobs, results):
-            assert res.meta["engine"] == "batch"
-            solo = make_simulator(t, UniformTraffic(topo), rate,
-                                  replace(cfg, engine="fast")).run()
-            assert canonical_payload(res) == canonical_payload(solo)
-
-
-# --------------------------------------------------------------------- #
-# compatibility errors
-# --------------------------------------------------------------------- #
 
 
 class TestCompatibilityErrors:
     def test_empty_batch_rejected(self):
         with pytest.raises(BatchCompatibilityError, match="at least one"):
-            simulate_batch([])
+            simulate_batch_vector([])
 
     def test_mixed_routing_tables_rejected(self):
         topo_a, table_a = _network(11)
@@ -169,7 +48,7 @@ class TestCompatibilityErrors:
         ]
         with pytest.raises(BatchCompatibilityError,
                            match="share one RoutingTable"):
-            simulate_batch(jobs)
+            simulate_batch_vector(jobs)
 
     def test_same_topology_different_table_object_rejected(self):
         """Even an equal table is rejected — sharing must be by identity."""
@@ -192,10 +71,10 @@ class TestCompatibilityErrors:
         ]
         with pytest.raises(BatchCompatibilityError,
                            match="virtual_channels"):
-            simulate_batch(jobs)
+            simulate_batch_vector(jobs)
 
     def test_single_member_batch_is_fine(self):
         topo, table = _network(11)
-        (res,) = simulate_batch(
+        (res,) = simulate_batch_vector(
             [(table, UniformTraffic(topo), 0.01, _cfg(seed=4))])
         assert res.messages_generated > 0

@@ -3,8 +3,8 @@
 The vector engine is deterministic given ``(seed, engine)`` but draws
 its RNG streams per replication instead of replaying the reference
 engine's scalar draw order, so bit-identity against the
-``reference``/``fast``/``batch`` lineage is impossible by design.  This
-suite pins down what IS promised:
+``reference``/``fast`` lineage is impossible by design.  This suite pins
+down what IS promised:
 
 - determinism: same batch twice -> byte-identical canonical payloads;
 - composition invariance: a member's payload does not depend on which
@@ -12,13 +12,16 @@ suite pins down what IS promised:
 - statistical equivalence: across 32 seeds per (rate) point, mean
   latency and delivered throughput are indistinguishable from the
   bit-identical lineage's under the combined Welch-t + CI-overlap rule
-  of :mod:`repro.simulation.equivalence` (batch engine as the
+  of :mod:`repro.simulation.equivalence` (fast engine as the
   reference side — it is bit-identical to ``reference``, so this is
   the cheapest faithful proxy);
 - rank preservation: the paper's qualitative result (the OP mapping
   beats random mappings) survives the engine swap;
 - multi-VC fallback: unsupported configurations degrade to the
   bit-identical kernel rather than to silently-different physics.
+
+Jobs that cannot share one vector kernel are rejected with a typed
+error; ``test_engine_batch.py`` pins that down.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from repro.routing.updown import UpDownRouting
 from repro.simulation import BIT_IDENTICAL_ENGINES, ENGINE_NAMES
 from repro.simulation.config import SimulationConfig
 from repro.simulation.engine import canonical_payload, make_simulator
-from repro.simulation.engine_batch import simulate_batch
 from repro.simulation.engine_vector import (
     VectorWormholeNetworkSimulator,
     simulate_batch_vector,
@@ -64,15 +66,21 @@ def _jobs(table, traffic, engine):
     ]
 
 
+def _simulate_each(jobs):
+    """Run ``(table, traffic, rate, config)`` jobs one at a time."""
+    return [make_simulator(table, traffic, rate, cfg).run()
+            for table, traffic, rate, cfg in jobs]
+
+
 @pytest.fixture(scope="module")
 def sample_grids(net8):
     """label -> metric -> per-seed samples, for both engine lineages."""
     topo, table = net8
     traffic = UniformTraffic(topo)
     vec = simulate_batch_vector(_jobs(table, traffic, "vector"))
-    bat = simulate_batch(_jobs(table, traffic, "batch"))
+    fast = _simulate_each(_jobs(table, traffic, "fast"))
     grids = []
-    for results in (vec, bat):
+    for results in (vec, fast):
         grid = {}
         for i, rate in enumerate(RATES):
             chunk = results[i * SEEDS:(i + 1) * SEEDS]
@@ -90,17 +98,17 @@ def sample_grids(net8):
 # --------------------------------------------------------------------- #
 
 def test_vector_statistically_equivalent(sample_grids):
-    vec_grid, bat_grid = sample_grids
-    report = check_equivalence(vec_grid, bat_grid)
+    vec_grid, fast_grid = sample_grids
+    report = check_equivalence(vec_grid, fast_grid)
     assert report.equivalent, report.summary()
     # The grid really covered every (rate, metric) point.
     assert len(report.points) == len(RATES) * 2
 
 
 def test_equivalence_run_is_deterministic(sample_grids):
-    vec_grid, bat_grid = sample_grids
-    first = check_equivalence(vec_grid, bat_grid)
-    second = check_equivalence(vec_grid, bat_grid)
+    vec_grid, fast_grid = sample_grids
+    first = check_equivalence(vec_grid, fast_grid)
+    second = check_equivalence(vec_grid, fast_grid)
     assert first.points == second.points
 
 
@@ -109,7 +117,7 @@ def test_vector_is_not_bit_identical_but_is_registered():
     # engine, but deliberately outside the bit-identical set.
     assert "vector" in ENGINE_NAMES
     assert "vector" not in BIT_IDENTICAL_ENGINES
-    assert set(BIT_IDENTICAL_ENGINES) == {"reference", "fast", "batch"}
+    assert set(BIT_IDENTICAL_ENGINES) == {"reference", "fast"}
 
 
 # --------------------------------------------------------------------- #
@@ -165,7 +173,7 @@ def test_op_mapping_outranks_randoms_on_both_engines():
     scores = {}
     for engine, runner in (
         ("vector", simulate_batch_vector),
-        ("batch", simulate_batch),
+        ("fast", _simulate_each),
     ):
         jobs = [
             (table, IntraClusterTraffic(rec.mapping), rate,
@@ -181,10 +189,10 @@ def test_op_mapping_outranks_randoms_on_both_engines():
     op = records[0].name
     for rec in records[1:]:
         contest_v = {k: scores["vector"][k] for k in (op, rec.name)}
-        contest_b = {k: scores["batch"][k] for k in (op, rec.name)}
-        ok, order_v, order_b = check_rank_preservation(
-            contest_v, contest_b, higher_is_better=False)
-        assert ok, (order_v, order_b, scores)
+        contest_f = {k: scores["fast"][k] for k in (op, rec.name)}
+        ok, order_v, order_f = check_rank_preservation(
+            contest_v, contest_f, higher_is_better=False)
+        assert ok, (order_v, order_f, scores)
         assert order_v[0] == op, scores
 
 

@@ -2,10 +2,9 @@
 
 ``repro.simulation.equivalence`` is the contract that admits the vector
 engine without bit-identity, so the checker gets its own evidence: the
-hand-rolled Student's t machinery must match scipy (when scipy is
-around), known-same sample sets must pass, shifted-mean sample sets must
-fail, and the whole procedure must be deterministic — same samples in,
-same verdicts out.  The engine-facing application lives in
+Welch t-test must match ``scipy.stats.ttest_ind``, known-same sample
+sets must pass, shifted-mean sample sets must fail, and the whole
+procedure must be deterministic — same samples in, same verdicts out.  The engine-facing application lives in
 ``test_engine_equivalence.py``.
 """
 
@@ -15,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from repro.simulation.equivalence import (
     DEFAULT_ALPHA,
@@ -58,22 +58,14 @@ def test_t_sf_two_sided():
     assert student_t_sf(0.0, 12) == pytest.approx(1.0)
 
 
-def test_t_cdf_matches_scipy_when_available():
-    scipy = pytest.importorskip("scipy.stats")
-    for df in (1, 2.5, 7, 29, 57.3, 200):
-        for t in (-8.0, -2.3, -0.5, 0.0, 0.1, 1.96, 4.4, 12.0):
-            assert student_t_cdf(t, df) == pytest.approx(
-                float(scipy.t.cdf(t, df)), abs=1e-10)
-
-
 def test_welch_matches_scipy_when_available():
-    scipy = pytest.importorskip("scipy.stats")
+    # scipy is a declared dependency, so this cross-check always runs.
     rng = np.random.default_rng(42)
     for _ in range(8):
         xs = _samples(rng, 10.0, 2.0, 31)
         ys = _samples(rng, 10.4, 3.0, 37)
         t, _df, p = welch_t(xs, ys)
-        ref = scipy.ttest_ind(xs, ys, equal_var=False)
+        ref = scipy.stats.ttest_ind(xs, ys, equal_var=False)
         assert t == pytest.approx(float(ref.statistic), abs=1e-9)
         assert p == pytest.approx(float(ref.pvalue), abs=1e-9)
 

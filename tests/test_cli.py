@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +126,18 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_start_up_does_not_import_scipy(self):
+        """Every ``repro`` run (``repro serve`` included) imports the CLI;
+        scipy (~0.4 s) must load only where statistics are computed."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); import repro.cli;"
+             " print(sorted(m for m in sys.modules if m.startswith("
+             "('scipy', 'repro.simulation.equivalence'))))", str(src)],
+            capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestMetricsCommand:
