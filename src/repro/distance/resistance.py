@@ -5,9 +5,12 @@ the resistor network and ``L⁺`` its Moore-Penrose pseudoinverse,
 
     R(a, b) = L⁺[a,a] + L⁺[b,b] - 2 L⁺[a,b].
 
-The networks here are tiny (at most the N ≤ ~64 switches of a topology),
-so a dense pseudoinverse is both simplest and fast; no sparse machinery is
-warranted (profile before optimizing).
+These functions solve one network at a time with a dense pseudoinverse:
+:func:`equivalent_resistance` is the per-pair definition of the paper's
+equivalent distance, kept as a public utility and as the oracle the tests
+hold the table against.  :func:`repro.distance.table.build_distance_table`
+does not call it: it solves every pair of a topology at once, as batched
+grounded Laplacian systems (see its docstring).
 """
 
 from __future__ import annotations

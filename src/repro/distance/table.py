@@ -1,10 +1,13 @@
 """The table of equivalent distances ``T_N``.
 
-:func:`build_distance_table` is the reference implementation of the model
-in Section 3 of the paper: per switch pair, extract the shortest-legal-path
-link support from the routing algorithm and measure the equivalent
-resistance across it.  :class:`DistanceTable` wraps the resulting ``N×N``
-matrix with the derived quantities the quality functions need.
+:func:`build_distance_table` implements the model in Section 3 of the
+paper: per switch pair, take the shortest-legal-path link support from the
+routing algorithm and measure the equivalent resistance across it.  All
+pairs are solved together, as batched dense linear systems grouped by
+support size; :func:`repro.distance.resistance.equivalent_resistance` is
+the per-pair definition they agree with.  :class:`DistanceTable` wraps the
+resulting ``N×N`` matrix with the derived quantities the quality functions
+need.
 """
 
 from __future__ import annotations
@@ -12,9 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distance.resistance import equivalent_resistance
+from repro.obs import trace as _trace
 from repro.routing.base import RoutingAlgorithm
 from repro.util.validation import check_square_matrix
+
+# Matrix entries per batched solve: bounds the scratch memory of one call
+# (2**21 float64 entries = 16 MiB) at any network size.
+_BATCH_ENTRIES = 1 << 21
 
 
 class DistanceTable:
@@ -91,17 +98,74 @@ def build_distance_table(routing: RoutingAlgorithm) -> DistanceTable:
     ``i → j`` paths, treat each as a 1 Ω resistor, and record the equivalent
     resistance.  With a single shortest path of ``h`` hops this degenerates
     to ``h``; with parallel shortest paths it drops below ``h``.
+
+    Each pair's Laplacian lives on its ``k`` support nodes, numbered with
+    ``i`` first and ``j`` last.  Grounding ``j`` leaves a nonsingular
+    ``(k-1)×(k-1)`` system ``L x = e_i`` whose ``x_i`` is the resistance;
+    pairs with equal ``k`` are scattered with ``np.bincount`` into one
+    stack and solved by one batched ``np.linalg.solve``.
     """
     topo = routing.topology
     n = topo.num_switches
-    t = np.zeros((n, n), dtype=float)
-    for i in range(n):
-        for j in range(i + 1, n):
-            links = routing.links_on_shortest_paths(i, j)
-            r = equivalent_resistance(links, i, j)
-            t[i, j] = r
-            t[j, i] = r
+    with _trace.span("distance.table", routing=routing.name, switches=n):
+        t = np.zeros((n, n), dtype=float)
+        iu, ju = np.triu_indices(n, k=1)
+        mask = routing.shortest_path_mask()
+        ends = np.array(topo.links, dtype=np.int64).reshape(-1, 2)
+        pair, link = np.nonzero(mask)
+        rows = np.arange(iu.size)
+        support = np.zeros((iu.size, n), dtype=bool)
+        support[pair, ends[link, 0]] = True
+        support[pair, ends[link, 1]] = True
+        size = support.sum(axis=1)
+        # Local node numbers: i -> 0, the other support nodes in id order
+        # -> 1..k-2, j -> k-1.
+        support[rows, iu] = support[rows, ju] = False
+        local = np.cumsum(support, axis=1, dtype=np.min_scalar_type(n))
+        local[rows, iu] = 0
+        local[rows, ju] = size - 1
+        a = local[pair, ends[link, 0]].astype(np.int64)
+        b = local[pair, ends[link, 1]].astype(np.int64)
+        # Pairs sorted by support size (stably) and their links in that
+        # order: a run of equal-size pairs is one slice of each.
+        order = np.argsort(size, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        slot = rank[pair]
+        by_slot = np.argsort(slot, kind="stable")
+        slot, a, b = slot[by_slot], a[by_slot], b[by_slot]
+        cut = np.searchsorted(slot, np.arange(order.size + 1))
+        sizes, first = np.unique(size[order], return_index=True)
+        r = np.empty(iu.size)
+        for k, lo, hi in zip(sizes.tolist(), first.tolist(),
+                             first[1:].tolist() + [order.size]):
+            step = max(1, _BATCH_ENTRIES // (k * k))
+            for c0 in range(lo, hi, step):
+                c1 = min(c0 + step, hi)
+                e = slice(cut[c0], cut[c1])
+                r[order[c0:c1]] = _grounded_solve(k, c1 - c0, slot[e] - c0,
+                                                  a[e], b[e])
+        t[iu, ju] = t[ju, iu] = r
     return DistanceTable(t, kind="equivalent", name=f"T-{routing.name}-{topo.name}")
+
+
+def _grounded_solve(k: int, count: int, batch: np.ndarray, u: np.ndarray,
+                    v: np.ndarray) -> np.ndarray:
+    """Resistances of ``count`` pairs with ``k`` support nodes each.
+
+    Link ``e`` joins local nodes ``u[e]`` and ``v[e]`` of pair ``batch[e]``.
+    """
+    base = batch * (k * k)
+    ones = np.ones(u.size)
+    lap = np.bincount(
+        np.concatenate([base + u * k + u, base + v * k + v,
+                        base + u * k + v, base + v * k + u]),
+        weights=np.concatenate([ones, ones, -ones, -ones]),
+        minlength=count * k * k,
+    ).reshape(count, k, k)
+    rhs = np.zeros((count, k - 1, 1))
+    rhs[:, 0] = 1.0
+    return np.linalg.solve(lap[:, :k - 1, :k - 1], rhs)[:, 0, 0]
 
 
 def hop_distance_table(routing: RoutingAlgorithm) -> DistanceTable:

@@ -33,9 +33,12 @@ def _fmt(value: Optional[float], digits: int = 4) -> str:
 
 
 def _fmt_ci(entry: Optional[dict], digits: int = 2) -> str:
-    """``mean [lo, hi]`` for one CI entry; ``-`` for undefined."""
+    """``mean [lo, hi]`` for one CI entry; ``-`` for undefined; the mean
+    alone when there is no interval (a single replication)."""
     if not entry or entry.get("mean") is None:
         return "-"
+    if entry["lo"] is None:
+        return f"{entry['mean']:.{digits}f}"
     return (f"{entry['mean']:.{digits}f} "
             f"[{entry['lo']:.{digits}f}, {entry['hi']:.{digits}f}]")
 

@@ -404,7 +404,10 @@ def _fault_tables(
 
 
 def _ci_entry(values: Sequence[float]) -> Dict[str, Optional[float]]:
-    """A ``{"mean", "lo", "hi"}`` CI entry, NaN-safe."""
+    """A ``{"mean", "lo", "hi"}`` CI entry, NaN-safe.
+
+    One finite sample has a mean but no interval: ``lo``/``hi`` are ``None``.
+    """
     # Imported here: this module loads with the CLI (through serialize),
     # and equivalence imports scipy, ~0.4 s on every CLI start.
     from repro.simulation.equivalence import mean_ci
@@ -412,6 +415,8 @@ def _ci_entry(values: Sequence[float]) -> Dict[str, Optional[float]]:
     clean = [v for v in values if v is not None and math.isfinite(v)]
     if not clean:
         return {"mean": None, "lo": None, "hi": None}
+    if len(clean) == 1:
+        return {"mean": _nan_to_none(clean[0]), "lo": None, "hi": None}
     mean, lo, hi = mean_ci(clean)
     return {"mean": _nan_to_none(mean), "lo": _nan_to_none(lo),
             "hi": _nan_to_none(hi)}

@@ -10,14 +10,10 @@ ablations but the paper's configuration uses up*/down*.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Tuple
-
-import numpy as np
+from typing import Tuple
 
 from repro.routing.base import Hop, Phase, RoutingAlgorithm
-from repro.topology.graph import Link, Topology
-
-_UNREACHED = -1
+from repro.topology.graph import Topology
 
 
 class MinimalRouting(RoutingAlgorithm):
@@ -25,67 +21,26 @@ class MinimalRouting(RoutingAlgorithm):
 
     def __init__(self, topology: Topology):
         super().__init__(topology)
-        self._dist: Optional[np.ndarray] = None
-        self._db: Dict[int, np.ndarray] = {}
+        self._build_routes(
+            ((a, Phase.UP, b, Phase.UP, link)
+             for link, (u, v) in enumerate(topology.links)
+             for a, b in ((u, v), (v, u))),
+            phases=1)
 
     @property
     def name(self) -> str:
         return "minimal"
 
-    def distances(self) -> np.ndarray:
-        if self._dist is None:
-            self._dist = self.topology.hop_distances()
-            if (self._dist < 0).any():
-                raise RuntimeError("minimal routing on a disconnected topology")
-        return self._dist
-
-    def _dist_to(self, dst: int) -> np.ndarray:
-        """BFS distances from every switch to ``dst`` (symmetric graph)."""
-        cached = self._db.get(dst)
-        if cached is not None:
-            return cached
-        n = self.topology.num_switches
-        dist = np.full(n, _UNREACHED, dtype=np.int64)
-        dist[dst] = 0
-        frontier = [dst]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in self.topology.neighbors(u):
-                    if dist[v] == _UNREACHED:
-                        dist[v] = d
-                        nxt.append(v)
-            frontier = nxt
-        self._db[dst] = dist
-        return dist
-
-    def links_on_shortest_paths(self, src: int, dst: int) -> FrozenSet[Link]:
-        if src == dst:
-            return frozenset()
-        dsrc = self._dist_to(src)  # == distances from src (undirected graph)
-        ddst = self._dist_to(dst)
-        total = int(dsrc[dst])
-        links = set()
-        for u, v in self.topology.links:
-            # The link u-v is on a shortest path if traversing it in either
-            # direction keeps the total length minimal.
-            if dsrc[u] + 1 + ddst[v] == total or dsrc[v] + 1 + ddst[u] == total:
-                links.add((u, v))
-        return frozenset(links)
-
     def next_hops(self, current: int, phase: Phase, dst: int) -> Tuple[Hop, ...]:
         if current == dst:
             return ()
-        ddst = self._dist_to(dst)
+        ddst = self._bwd[dst]
         here = ddst[current]
-        out = [
+        return tuple(
             (v, Phase.UP)
             for v in self.topology.neighbors(current)
             if ddst[v] == here - 1
-        ]
-        return tuple(out)
+        )
 
 
 __all__ = ["MinimalRouting"]

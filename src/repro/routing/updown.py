@@ -16,17 +16,18 @@ reachability problem on a directed *state graph* with ``2N`` nodes:
 - no edge ever leaves ``DOWN`` for ``UP``.
 
 Shortest legal distances, per-state next hops and shortest-path link
-supports all come out of forward/backward BFS on this graph.
+supports all come out of the forward/backward searches the base class runs
+on this graph (:meth:`~repro.routing.base.RoutingAlgorithm._build_routes`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.routing.base import Hop, Phase, RoutingAlgorithm
-from repro.topology.graph import Link, Topology
+from repro.routing.base import Hop, Phase, RoutingAlgorithm, StateEdge
+from repro.topology.graph import Topology
 
 _UNREACHED = -1
 
@@ -87,26 +88,24 @@ class UpDownRouting(RoutingAlgorithm):
         self.root = root
         self.level = bfs_levels(topology, root)
 
-        # Directed state-graph adjacency: for each (switch, phase) the legal
-        # (neighbor, phase') continuations, independent of destination.
+        # Legal hops of the state graph; _succ[phase][u] lists the
+        # (neighbor, phase') continuations of state (u, phase).
         self._succ: List[List[List[Hop]]] = [
             [[] for _ in range(n)] for _ in range(2)
         ]
-        self._pred: List[List[List[Hop]]] = [
-            [[] for _ in range(n)] for _ in range(2)
-        ]
-        for u, v in topology.links:
+        edges: List[StateEdge] = []
+        for link, (u, v) in enumerate(topology.links):
             for a, b in ((u, v), (v, u)):
                 if self.is_up(a, b):
-                    self._add_edge(a, Phase.UP, b, Phase.UP)
+                    hops = [(Phase.UP, Phase.UP)]
                 else:
-                    self._add_edge(a, Phase.UP, b, Phase.DOWN)
-                    self._add_edge(a, Phase.DOWN, b, Phase.DOWN)
-
-        self._dist: Optional[np.ndarray] = None
-        # Per-destination remaining-distance arrays, filled lazily:
-        # _db[dst] has shape (2, N): _db[dst][phase, switch].
-        self._db: Dict[int, np.ndarray] = {}
+                    hops = [(Phase.UP, Phase.DOWN), (Phase.DOWN, Phase.DOWN)]
+                for pa, pb in hops:
+                    self._succ[pa][a].append((b, pb))
+                    edges.append((a, pa, b, pb, link))
+        self._build_routes(edges, phases=2)
+        # _db[dst][phase, switch]: remaining legal distance to dst.
+        self._db = list(self._bwd.reshape(n, 2, n))
 
     # ------------------------------------------------------------------ #
     # orientation
@@ -134,44 +133,6 @@ class UpDownRouting(RoutingAlgorithm):
     def name(self) -> str:
         return "updown"
 
-    def distances(self) -> np.ndarray:
-        """All-pairs shortest legal distances (symmetric for up*/down*)."""
-        if self._dist is None:
-            n = self.topology.num_switches
-            d = np.empty((n, n), dtype=np.int64)
-            for src in range(n):
-                df = self._forward_bfs(src).astype(float)
-                df[df < 0] = np.inf  # unreachable in that phase
-                best = np.minimum(df[Phase.UP], df[Phase.DOWN])
-                if np.isinf(best).any():
-                    missing = int(np.nonzero(np.isinf(best))[0][0])
-                    raise RuntimeError(f"updown: {missing} unreachable from {src}")
-                d[src] = best.astype(np.int64)
-            self._dist = d
-        return self._dist
-
-    def links_on_shortest_paths(self, src: int, dst: int) -> FrozenSet[Link]:
-        if src == dst:
-            return frozenset()
-        df = self._forward_bfs(src)
-        db = self._backward_dist(dst)
-        finite = [int(df[p, dst]) for p in (Phase.UP, Phase.DOWN) if df[p, dst] >= 0]
-        if not finite:
-            raise RuntimeError(f"updown: {dst} unreachable from {src}")
-        total = min(finite)
-        links = set()
-        n = self.topology.num_switches
-        for phase in (Phase.UP, Phase.DOWN):
-            for u in range(n):
-                fu = df[phase, u]
-                if fu < 0:
-                    continue
-                for v, nphase in self._succ[phase][u]:
-                    bv = db[nphase, v]
-                    if bv >= 0 and fu + 1 + bv == total:
-                        links.add((u, v) if u < v else (v, u))
-        return frozenset(links)
-
     def next_hops(self, current: int, phase: Phase, dst: int) -> Tuple[Hop, ...]:
         if current == dst:
             return ()
@@ -187,59 +148,10 @@ class UpDownRouting(RoutingAlgorithm):
         out.sort()
         return tuple(out)
 
-    # ------------------------------------------------------------------ #
-    # internals
-    # ------------------------------------------------------------------ #
-
-    def _add_edge(self, u: int, pu: Phase, v: int, pv: Phase) -> None:
-        self._succ[pu][u].append((v, pv))
-        self._pred[pv][v].append((u, pu))
-
-    def _forward_bfs(self, src: int) -> np.ndarray:
-        """Distances from state ``(src, UP)`` to every state; shape (2, N)."""
-        n = self.topology.num_switches
-        dist = np.full((2, n), _UNREACHED, dtype=np.int64)
-        dist[Phase.UP, src] = 0
-        frontier: List[Hop] = [(src, Phase.UP)]
-        d = 0
-        while frontier:
-            d += 1
-            nxt: List[Hop] = []
-            for u, pu in frontier:
-                for v, pv in self._succ[pu][u]:
-                    if dist[pv, v] == _UNREACHED:
-                        dist[pv, v] = d
-                        nxt.append((v, pv))
-            frontier = nxt
-        return dist
-
     def _backward_dist(self, dst: int) -> np.ndarray:
-        """Remaining legal distance from every state to switch ``dst``.
-
-        BFS over reversed state edges from both ``(dst, UP)`` and
-        ``(dst, DOWN)`` (arriving in either phase completes the route).
-        Cached per destination — the simulator queries this on every hop.
-        """
-        cached = self._db.get(dst)
-        if cached is not None:
-            return cached
-        n = self.topology.num_switches
-        dist = np.full((2, n), _UNREACHED, dtype=np.int64)
-        dist[Phase.UP, dst] = 0
-        dist[Phase.DOWN, dst] = 0
-        frontier: List[Hop] = [(dst, Phase.UP), (dst, Phase.DOWN)]
-        d = 0
-        while frontier:
-            d += 1
-            nxt: List[Hop] = []
-            for v, pv in frontier:
-                for u, pu in self._pred[pv][v]:
-                    if dist[pu, u] == _UNREACHED:
-                        dist[pu, u] = d
-                        nxt.append((u, pu))
-            frontier = nxt
-        self._db[dst] = dist
-        return dist
+        """Remaining legal distance from every state to switch ``dst``,
+        shape ``(2, N)`` indexed ``[phase, switch]`` (``-1``: unreachable)."""
+        return self._db[dst]
 
 
 __all__ = ["UpDownRouting", "bfs_levels", "choose_root"]

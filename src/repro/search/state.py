@@ -7,6 +7,11 @@ to evaluate a swap of two switches in O(1):
 - ``g``        — the cluster-load matrix ``G[s, c] = Σ_{x∈c} T[s,x]²``;
 - ``raw``      — the current ``Σ_i F_{A_i}`` (unnormalized similarity sum).
 
+The whole neighbourhood is one array expression over the assigned
+switches (:meth:`PartitionState.swap_deltas`), evaluated in the same
+order as the scalar :meth:`~repro.core.quality.QualityEvaluator.swap_delta_raw`,
+so every delta is bit-identical to it.
+
 ``F_G = raw / (intracluster_pairs · norm)`` — the scale factor is constant
 for fixed sizes, so searches may rank moves by raw delta and only convert
 to ``F_G`` for reporting.
@@ -36,6 +41,14 @@ class PartitionState:
         self.raw = evaluator.intracluster_sum(partition)
         self.scale = pairs * evaluator.norm
         self._assigned = np.nonzero(self.labels >= 0)[0]
+        a = self._assigned
+        # Swap-invariant parts of the neighbourhood over the assigned
+        # switches: the 2·T² term, the strict upper triangle (each
+        # unordered pair once, row-major) and switch id -> position.
+        self._sq2 = 2.0 * evaluator.sq[np.ix_(a, a)]
+        self._upper = np.triu(np.ones((a.size, a.size), dtype=bool), k=1)
+        self._pos = np.full(self.labels.size, -1)
+        self._pos[a] = np.arange(a.size)
 
     # -- value ------------------------------------------------------------ #
 
@@ -64,17 +77,30 @@ class PartitionState:
         self.evaluator.apply_swap(self.labels, self.g, a, b)
         self.raw += delta
 
+    def _cross(self) -> np.ndarray:
+        """``[x, y]``: assigned switches ``x < y`` sit in different clusters."""
+        lab = self.labels[self._assigned]
+        return self._upper & (lab[:, None] != lab[None, :])
+
     def candidate_swaps(self) -> Iterator[Tuple[int, int]]:
-        """All unordered pairs of assigned switches in different clusters."""
-        assigned = self._assigned
-        labels = self.labels
-        for i in range(assigned.size):
-            a = int(assigned[i])
-            la = labels[a]
-            for j in range(i + 1, assigned.size):
-                b = int(assigned[j])
-                if labels[b] != la:
-                    yield (a, b)
+        """All unordered pairs of assigned switches in different clusters,
+        row-major over the assigned switch ids."""
+        x, y = np.nonzero(self._cross())
+        a = self._assigned
+        return zip(a[x].tolist(), a[y].tolist())
+
+    def swap_deltas(self) -> np.ndarray:
+        """``F_G`` change of swapping assigned switches ``x`` and ``y``, for
+        every pair at once (meaningful where they sit in different clusters).
+
+        With ``H[x, y] = g[a_x, label(a_y)]`` this is
+        ``(Hᵀ + H − diag(H)·1ᵀ − 1·diag(H)ᵀ − 2·T²) / scale``, the term
+        order of :meth:`swap_delta`, so each entry equals it bit for bit.
+        """
+        a = self._assigned
+        h = self.g[a[:, None], self.labels[a][None, :]]
+        d = h.diagonal()
+        return (h.T + h - d[:, None] - d[None, :] - self._sq2) / self.scale
 
     def best_swap(
         self, forbidden: "set[Tuple[int, int]] | None" = None,
@@ -102,25 +128,23 @@ class PartitionState:
         is the best delta over the *whole* neighbourhood, tabu ignored.
         ``free_delta >= 0`` identifies a genuine local minimum even when the
         tabu list masks the improving move; ``free_delta`` is ``inf`` when
-        the neighbourhood is empty.
+        the neighbourhood is empty.  Pairs are ``(a, b)`` with ``a < b``;
+        ties go to the first pair in row-major order.
         """
-        best_pair = None
-        best_delta = float("inf")
-        free_delta = float("inf")
-        current = self.value()
-        for pair in self.candidate_swaps():
-            delta = self.swap_delta(*pair)
-            if delta < free_delta:
-                free_delta = delta
-            if forbidden and pair in forbidden:
-                if not (current + delta < aspiration_below):
-                    continue
-            if delta < best_delta:
-                best_delta = delta
-                best_pair = pair
-        if best_pair is None:
+        deltas = np.where(self._cross(), self.swap_deltas(), np.inf)
+        free_delta = float(deltas.min())
+        if forbidden:
+            x, y = self._pos[np.array(list(forbidden), dtype=np.int64).T]
+            tabu = (x >= 0) & (y >= 0)
+            x, y = x[tabu], y[tabu]
+            blocked = ~(self.value() + deltas[x, y] < aspiration_below)
+            deltas[x[blocked], y[blocked]] = np.inf
+        x, y = divmod(int(np.argmin(deltas)), deltas.shape[1])
+        delta = float(deltas[x, y])
+        if delta == np.inf:
             return None, 0.0, free_delta
-        return best_pair, best_delta, free_delta
+        a = self._assigned
+        return (int(a[x]), int(a[y])), delta, free_delta
 
     # -- misc --------------------------------------------------------------#
 
@@ -133,6 +157,9 @@ class PartitionState:
         clone.raw = self.raw
         clone.scale = self.scale
         clone._assigned = self._assigned
+        clone._sq2 = self._sq2
+        clone._upper = self._upper
+        clone._pos = self._pos
         return clone
 
     def recompute(self) -> None:

@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.distance.resistance import equivalent_resistance
 from repro.distance.table import DistanceTable, build_distance_table, hop_distance_table
 from repro.routing.minimal import MinimalRouting
 from repro.routing.updown import UpDownRouting
-from repro.topology.designed import binary_tree_topology, ring_topology
+from repro.topology.designed import (
+    binary_tree_topology,
+    four_rings_topology,
+    mesh_topology,
+    ring_topology,
+)
 from repro.topology.graph import Topology
+from repro.topology.irregular import random_irregular_topology
 
 
 class TestDistanceTable:
@@ -109,3 +116,38 @@ class TestHopDistanceTable:
     def test_hops_bound_equivalent(self, routing16, table16):
         h = hop_distance_table(routing16)
         assert (table16.values <= h.values + 1e-9).all()
+
+
+class TestAgreesWithPerPairResistance:
+    """The batched grounded solves against the per-pair pseudoinverse."""
+
+    @pytest.mark.parametrize("make", [UpDownRouting, MinimalRouting],
+                             ids=lambda r: r.__name__)
+    @pytest.mark.parametrize("n,seed", [(8, 3), (12, 11), (16, 42), (24, 5),
+                                        (32, 7), (40, 2), (48, 9)])
+    def test_random_topology(self, make, n, seed):
+        routing = make(random_irregular_topology(n, seed=seed))
+        t = build_distance_table(routing).values
+        oracle = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                oracle[i, j] = oracle[j, i] = equivalent_resistance(
+                    routing.links_on_shortest_paths(i, j), i, j)
+        assert np.abs(t - oracle).max() <= 1e-12
+        assert (t == t.T).all()
+
+    def test_designed_topologies(self):
+        for topo in (ring_topology(9), mesh_topology(3, 4),
+                     four_rings_topology()):
+            routing = UpDownRouting(topo)
+            t = build_distance_table(routing).values
+            n = topo.num_switches
+            for i in range(n):
+                for j in range(i + 1, n):
+                    r = equivalent_resistance(
+                        routing.links_on_shortest_paths(i, j), i, j)
+                    assert abs(t[i, j] - r) <= 1e-12
+
+    def test_two_switches(self):
+        t = build_distance_table(UpDownRouting(Topology(2, [(0, 1)])))
+        assert t.values.tolist() == [[0.0, 1.0], [1.0, 0.0]]

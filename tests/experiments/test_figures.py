@@ -28,6 +28,12 @@ from repro.simulation.config import SimulationConfig
 
 QUICK = SimulationConfig(warmup_cycles=150, measure_cycles=700, seed=5)
 
+# OP partition labels of Figs. 2 and 4 (search seed 1), recorded before the
+# distance table and the Tabu neighbourhood became array code; both must
+# leave the found partitions exactly as they were.
+FIG2_LABELS = [1, 3, 3, 0, 0, 1, 2, 0, 3, 1, 0, 2, 2, 2, 3, 1]
+FIG4_LABELS = [2] * 6 + [1] * 6 + [0] * 6 + [3] * 6
+
 
 @pytest.fixture(scope="module")
 def setup16():
@@ -73,6 +79,10 @@ class TestFig2:
         assert res.c_c > 1.0
         assert res.f_g < 1.0
 
+    def test_labels_pinned(self, setup16):
+        assert run_fig2(setup16, seed=1).partition.labels.tolist() == \
+            FIG2_LABELS
+
     def test_render(self, setup16):
         out = render_fig2(run_fig2(setup16, seed=1))
         assert "Figure 2" in out and "C_c=" in out
@@ -105,6 +115,10 @@ class TestFig4:
     def test_rings_identified(self, setup24):
         res = run_fig4(setup24, seed=1)
         assert res.matches_expected is True
+
+    def test_labels_pinned(self, setup24):
+        assert run_fig4(setup24, seed=1).partition.labels.tolist() == \
+            FIG4_LABELS
 
     def test_expected_clusters_helper(self):
         assert expected_ring_clusters()[0] == (0, 1, 2, 3, 4, 5)

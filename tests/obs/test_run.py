@@ -54,3 +54,39 @@ class TestTraceRun:
         with trace_run(sink):
             pass
         assert not sink.closed  # caller-owned sink stays open
+
+
+class TestMappingPipelineSpans:
+    def test_routing_and_table_spans(self, topo8):
+        from repro.core.scheduler import CommunicationAwareScheduler
+        from repro.distance.cache import cache_enabled, configure_cache
+
+        was_enabled = cache_enabled()
+        configure_cache(enabled=False)
+        try:
+            sink = MemorySink()
+            with trace_run(sink):
+                CommunicationAwareScheduler(topo8)
+        finally:
+            configure_cache(enabled=was_enabled)
+        (routing,) = sink.by_name("routing.build")
+        (table,) = sink.by_name("distance.table")
+        assert routing["attrs"]["routing"] == table["attrs"]["routing"] \
+            == "updown"
+        assert routing["attrs"]["switches"] == 8
+
+    def test_cache_hit_builds_no_table(self, topo8):
+        from repro.core.scheduler import CommunicationAwareScheduler
+        from repro.distance.cache import cache_enabled, configure_cache
+
+        was_enabled = cache_enabled()
+        configure_cache(enabled=True)
+        try:
+            CommunicationAwareScheduler(topo8)   # fills the cache
+            sink = MemorySink()
+            with trace_run(sink):
+                CommunicationAwareScheduler(topo8)
+        finally:
+            configure_cache(enabled=was_enabled)
+        assert len(sink.by_name("routing.build")) == 1
+        assert sink.by_name("distance.table") == []

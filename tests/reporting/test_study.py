@@ -10,6 +10,8 @@ from repro.reporting import (
     VariationRecord,
     records_from_fault_study,
     records_from_sim_figure,
+    render_html,
+    render_markdown,
     run_variation_study,
     validate_variation_record,
     wrap_records,
@@ -110,6 +112,22 @@ class TestRunVariationStudy:
         spec = StudySpec(**{**TINY_SPEC_KWARGS, "fault_sets": ("bogus",)})
         with pytest.raises(ValueError, match="unknown fault set"):
             run_variation_study(spec)
+
+    def test_single_replication_has_means_without_intervals(self):
+        # One sample per rate has a mean but no confidence interval.
+        spec = StudySpec(**{**TINY_SPEC_KWARGS, "replications": 1,
+                            "num_random": 1, "engines": ("fast",),
+                            "fault_sets": ("healthy",)})
+        result = run_variation_study(spec)
+        assert len(result.records) == spec.cells == 2
+        for r in result.records:
+            validate_variation_record(r.to_dict())
+            assert r.replications == 1
+            for entry in r.latency + r.throughput:
+                assert entry["lo"] is None and entry["hi"] is None
+            assert any(e["mean"] is not None for e in r.throughput)
+        assert "OP/healthy/fast" in render_markdown(result)
+        assert "OP/healthy/fast" in render_html(result)
 
 
 class TestValidateVariationRecord:
